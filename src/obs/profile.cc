@@ -27,6 +27,7 @@ JobProfile JobProfile::Build(const TraceLog& trace,
   p.executor_ = trace.executor;
   p.wall_ms_ = inputs.wall_ms;
   p.total_spans_ = trace.spans.size();
+  p.tasks_continued_ = inputs.tasks_continued;
 
   std::map<uint32_t, StageBreakdown> stages;
   std::map<uint32_t, NodeBreakdown> nodes;
@@ -63,6 +64,7 @@ JobProfile JobProfile::Build(const TraceLog& trace,
         node.exec_us += dur;
         break;
       case SpanKind::kQueueWait:
+        ++p.queued_tasks_;
         stage.queue_us += dur;
         node.queue_us += dur;
         break;
@@ -164,6 +166,9 @@ std::string JobProfile::ToText() const {
           Ms(stage.hedge_us).c_str());
     }
   }
+  out += StrFormat("tasks: %llu queued, %llu continued\n",
+                   static_cast<unsigned long long>(queued_tasks_),
+                   static_cast<unsigned long long>(tasks_continued_));
   out += "per-node:";
   for (const NodeBreakdown& node : nodes_) {
     out += StrFormat("  n%u: %llu spans, exec %s ms, queue %s ms;", node.node,

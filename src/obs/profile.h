@@ -25,6 +25,9 @@ struct ProfileInputs {
   std::vector<uint64_t> stage_invocations;
   /// Expected per-stage emission counts, for the report.
   std::vector<uint64_t> stage_emitted;
+  /// Tasks run as depth-first continuations, which queue no wait span
+  /// (MetricsSnapshot::tasks_continued), for the report.
+  uint64_t tasks_continued = 0;
   double wall_ms = 0.0;
   size_t straggler_top_k = 5;
 };
@@ -79,6 +82,10 @@ class JobProfile {
   const std::string& job_name() const { return job_name_; }
   double wall_ms() const { return wall_ms_; }
   uint64_t total_spans() const { return total_spans_; }
+  /// Tasks that went through a queue (one queue-wait span each) and tasks
+  /// run as a continuation of the task before them on the same worker.
+  uint64_t queued_tasks() const { return queued_tasks_; }
+  uint64_t tasks_continued() const { return tasks_continued_; }
 
  private:
   uint64_t job_id_ = 0;
@@ -86,6 +93,8 @@ class JobProfile {
   std::string executor_;
   double wall_ms_ = 0.0;
   uint64_t total_spans_ = 0;
+  uint64_t queued_tasks_ = 0;
+  uint64_t tasks_continued_ = 0;
   std::vector<StageBreakdown> stages_;
   std::vector<NodeBreakdown> nodes_;
   std::vector<Span> stragglers_;

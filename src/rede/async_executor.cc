@@ -379,10 +379,12 @@ void AsyncExecutor::Route(const std::shared_ptr<RunState>& runp,
   RunState& state = *runp;
   state.metrics.tuples_emitted.fetch_add(tuples.size(),
                                          std::memory_order_relaxed);
-  // Identical routing to the threaded engine (LIFO work stack, inline
-  // referencers, broadcast redirects, batch coalescing); only the final
-  // handoff differs — Dispatch() enqueues a continuation thunk instead of
-  // pushing into a per-node dispatcher queue. Broadcast ChargeMessage stays
+  // Same routing rules as the threaded engine (LIFO work stack, inline
+  // referencers, broadcast redirects, batch coalescing), except that every
+  // follow-up is dispatched: the threaded engine's depth-first continuation
+  // (a worker running its own same-node keyed follow-up next) is not done
+  // here. Dispatch() enqueues a continuation thunk instead of pushing into
+  // a per-node dispatcher queue. Broadcast ChargeMessage stays
   // synchronous on the routing thread (a known, documented deviation: it
   // charges the identical cost, it just doesn't suspend).
   struct Pending {

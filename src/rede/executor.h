@@ -35,6 +35,7 @@ inline obs::JobProfile ProfileOf(const JobResult& result) {
   if (result.trace == nullptr) return obs::JobProfile();
   obs::ProfileInputs inputs;
   inputs.stage_invocations = result.metrics.StageInvocations();
+  inputs.tasks_continued = result.metrics.tasks_continued;
   inputs.wall_ms = result.metrics.wall_ms;
   return obs::JobProfile::Build(*result.trace, inputs);
 }

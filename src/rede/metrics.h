@@ -34,6 +34,11 @@ struct ExecMetricsCounters {
   /// Tasks abandoned because the run failed: the task whose error was
   /// recorded plus tasks drained without executing during fail-fast.
   std::atomic<uint64_t> tasks_dropped_on_failure{0};
+  /// Tasks the threaded engine ran as a depth-first continuation: a
+  /// same-node follow-up the emitting worker kept and ran next, skipping the
+  /// queue. Every other task run is a queued one with one queue_dwell_us
+  /// sample, so the two add up to the tasks run.
+  std::atomic<uint64_t> tasks_continued{0};
   /// Dereference batching: fused ExecuteBatch dispatches and the pointers
   /// they carried (singleton tasks are not counted as batches).
   std::atomic<uint64_t> deref_batches{0};
@@ -90,7 +95,7 @@ struct ExecMetricsCounters {
   /// "sum-only" view (a mean hides exactly the tail that faults, hedging
   /// and failover exist to manage).
   obs::LatencyHistogram deref_latency_us;   ///< per Dereferencer attempt
-  obs::LatencyHistogram queue_dwell_us;     ///< task enqueue -> dispatch
+  obs::LatencyHistogram queue_dwell_us;     ///< queued task enqueue -> start
   obs::LatencyHistogram deref_batch_size;   ///< pointers per fused batch
   obs::LatencyHistogram retry_backoff_hist_us;  ///< per backoff sleep
   /// One slot per job stage; constructed by the executor at run start.
@@ -125,6 +130,7 @@ struct ExecMetricsCounters {
     retries = 0;
     retry_backoff_us = 0;
     tasks_dropped_on_failure = 0;
+    tasks_continued = 0;
     deref_batches = 0;
     deref_batched_pointers = 0;
     cache_hits = 0;
@@ -178,6 +184,7 @@ struct MetricsSnapshot {
   uint64_t retries = 0;
   uint64_t retry_backoff_us = 0;
   uint64_t tasks_dropped_on_failure = 0;
+  uint64_t tasks_continued = 0;
   uint64_t deref_batches = 0;
   uint64_t deref_batched_pointers = 0;
   uint64_t cache_hits = 0;
@@ -230,6 +237,7 @@ struct MetricsSnapshot {
     s.retries = c.retries.load();
     s.retry_backoff_us = c.retry_backoff_us.load();
     s.tasks_dropped_on_failure = c.tasks_dropped_on_failure.load();
+    s.tasks_continued = c.tasks_continued.load();
     s.deref_batches = c.deref_batches.load();
     s.deref_batched_pointers = c.deref_batched_pointers.load();
     s.cache_hits = c.cache_hits.load();

@@ -37,6 +37,12 @@ void RecordQueueWaitSpan(obs::TraceRecorder* trace, size_t stage,
   span.t_end_us = dequeue_us;
   trace->Record(std::move(span));
 }
+
+/// A counter on its own cache line: the per-run waiting counts are bumped by
+/// every enqueue and dequeue on their node.
+struct alignas(64) WaitCount {
+  std::atomic<int64_t> n{0};
+};
 }  // namespace
 
 /// All state of one Execute() call. Kept off the executor object so that
@@ -54,8 +60,11 @@ struct SmpeExecutor::RunState {
   /// against the same placement snapshot even when a rebalance commit
   /// races the run.
   uint64_t fanout_epoch = 0;
-  /// Stable per-node pool pointers for this run (threaded mode only).
-  std::vector<ThreadPool*> pools;
+  /// Stable per-node workers for this run (threaded mode only).
+  std::vector<NodeWorkers*> nodes;
+  /// This run's share of each node's NodeWorkers::waiting (threaded mode
+  /// only): its tasks enqueued on that node and not yet started.
+  std::unique_ptr<WaitCount[]> waiting;
   /// Recorder of a sampled run, nullptr otherwise (the untraced fast path
   /// is this null check — no span work, no allocations).
   obs::TraceRecorder* trace = nullptr;
@@ -83,6 +92,23 @@ struct SmpeExecutor::RunState {
 
   bool Failed() const { return cancel->cancelled(); }
 
+  /// Move `delta` tasks of this run into (+) or out of (-) `node`'s
+  /// waiting counts. A no-op in seeded-schedule mode, which never keeps.
+  void AddWaiting(sim::NodeId node, int64_t delta) {
+    if (nodes.empty()) return;
+    waiting[node].n.fetch_add(delta, std::memory_order_relaxed);
+    nodes[node]->waiting.fetch_add(delta, std::memory_order_relaxed);
+  }
+
+  /// True when a task of another run is waiting on `node`. The two loads
+  /// are not one snapshot: this run's own enqueues and dequeues racing them
+  /// can skew the answer by those tasks, but a task of another run that is
+  /// already waiting stays counted until a worker starts it.
+  bool OtherRunWaiting(sim::NodeId node) const {
+    const int64_t mine = waiting[node].n.load(std::memory_order_relaxed);
+    return nodes[node]->waiting.load(std::memory_order_relaxed) > mine;
+  }
+
   void Emit(const Tuple& tuple) {
     metrics.output_tuples.fetch_add(1, std::memory_order_relaxed);
     if (!sink) return;
@@ -107,13 +133,14 @@ SmpeExecutor::SmpeExecutor(sim::Cluster* cluster, SmpeOptions options)
   }
 }
 
-std::vector<ThreadPool*> SmpeExecutor::SnapshotPools(uint32_t num_nodes) {
+std::vector<SmpeExecutor::NodeWorkers*> SmpeExecutor::SnapshotPools(
+    uint32_t num_nodes) {
   std::lock_guard<std::mutex> lock(pools_mutex_);
   while (pools_.size() < num_nodes) {
-    pools_.push_back(std::make_unique<ThreadPool>(options_.threads_per_node,
-                                                  &pool_dwell_));
+    pools_.push_back(std::make_unique<NodeWorkers>(options_.threads_per_node,
+                                                   &pool_dwell_));
   }
-  std::vector<ThreadPool*> snapshot(num_nodes);
+  std::vector<NodeWorkers*> snapshot(num_nodes);
   for (uint32_t n = 0; n < num_nodes; ++n) snapshot[n] = pools_[n].get();
   return snapshot;
 }
@@ -122,24 +149,39 @@ SmpeExecutor::~SmpeExecutor() = default;
 
 void SmpeExecutor::RunTask(RunState& state, sim::NodeId node,
                            Task task) const {
+  state.AddWaiting(node, -1);  // the task has left the queue
+  std::optional<Task> next = RunOne(state, node, std::move(task));
+  // Depth-first continuation as a loop, not recursion: a long chain of kept
+  // follow-ups runs in constant stack.
+  while (next) next = RunOne(state, node, std::move(*next));
+}
+
+std::optional<SmpeExecutor::Task> SmpeExecutor::RunOne(RunState& state,
+                                                       sim::NodeId node,
+                                                       Task task) const {
   if (state.Failed()) {
     // Fail-fast drain: another task recorded a permanent error, so this one
     // is dropped unexecuted (it only balances the in-flight count).
     state.metrics.tasks_dropped_on_failure.fetch_add(1,
                                                      std::memory_order_relaxed);
     state.inflight.Done();
-    return;
+    return std::nullopt;
   }
   LH_CHECK(!task.tuples.empty());
-  // Queue dwell: stamped at enqueue (Route/SeedInitial), measured here. The
-  // histogram is always on; the span only exists on traced runs.
   const int64_t dequeue_us = NowMicros();
-  if (task.enqueue_us > 0 && dequeue_us >= task.enqueue_us) {
-    state.metrics.queue_dwell_us.Record(
-        static_cast<uint64_t>(dequeue_us - task.enqueue_us));
+  if (task.enqueue_us == 0) {
+    // A kept follow-up never sat in a queue: no dwell sample, no span.
+    state.metrics.tasks_continued.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Queue dwell: stamped at enqueue, measured here. The histogram is
+    // always on; the span only exists on traced runs.
+    if (dequeue_us >= task.enqueue_us) {
+      state.metrics.queue_dwell_us.Record(
+          static_cast<uint64_t>(dequeue_us - task.enqueue_us));
+    }
+    RecordQueueWaitSpan(state.trace, task.stage, node, task.enqueue_us,
+                        dequeue_us);
   }
-  RecordQueueWaitSpan(state.trace, task.stage, node, task.enqueue_us,
-                      dequeue_us);
   const StageFunction& fn = *state.job->stages()[task.stage];
   ExecContext ctx{node, cluster_, &state.metrics, cache_.get()};
   ctx.cancel = state.cancel;
@@ -249,15 +291,35 @@ void SmpeExecutor::RunTask(RunState& state, sim::NodeId node,
                                   fn.name() + ") on node " +
                                   std::to_string(node) + " after " +
                                   std::to_string(retry + 1) + " attempts");
-  } else {
-    state.metrics.CountStage(task.stage, outs.size());
-    Route(state, node, task.stage + 1, std::move(outs));
   }
-  state.inflight.Done();
+  std::optional<Task> kept;
+  if (status.ok()) {
+    state.metrics.CountStage(task.stage, outs.size());
+    Route(state, node, task.stage + 1, std::move(outs),
+          options_.deterministic_seed == 0 ? &kept : nullptr);
+  }
+  // A kept follow-up inherits this task's in-flight registration, so the
+  // count cannot touch zero mid-chain.
+  if (!kept) state.inflight.Done();
+  return kept;
+}
+
+void SmpeExecutor::Enqueue(RunState& state, sim::NodeId node,
+                           Task task) const {
+  state.inflight.Add();
+  state.AddWaiting(node, 1);
+  task.enqueue_us = NowMicros();
+  if (!state.queues[node]->Push(std::move(task))) {
+    // Queue already closed (shutdown): the task will never run, so balance
+    // the counts or AwaitZero() hangs forever.
+    state.AddWaiting(node, -1);
+    state.inflight.Done();
+  }
 }
 
 void SmpeExecutor::Route(RunState& state, sim::NodeId node, size_t next_stage,
-                         std::vector<Tuple>&& tuples) const {
+                         std::vector<Tuple>&& tuples,
+                         std::optional<Task>* kept) const {
   state.metrics.tuples_emitted.fetch_add(tuples.size(),
                                          std::memory_order_relaxed);
   // Explicit LIFO work stack instead of recursion: a chain of inline
@@ -372,13 +434,7 @@ void SmpeExecutor::Route(RunState& state, sim::NodeId node, size_t next_stage,
         copy.resolve_local = true;
         copy.resolve_owner = owner;
         copy.resolve_epoch = state.fanout_epoch;
-        state.inflight.Add();
-        if (!state.queues[dest]->Push(
-                Task{pending.stage, {std::move(copy)}, NowMicros()})) {
-          // Queue already closed (shutdown): the task will never run, so
-          // balance the in-flight count or AwaitZero() hangs forever.
-          state.inflight.Done();
-        }
+        Enqueue(state, dest, Task{pending.stage, {std::move(copy)}});
       }
       continue;
     }
@@ -389,23 +445,25 @@ void SmpeExecutor::Route(RunState& state, sim::NodeId node, size_t next_stage,
       continue;
     }
     // Keyed (or already-localized) tuple: the task stays on the emitting
-    // node; its Dereferencer performs the possibly-remote fetch.
-    state.inflight.Add();
-    if (!state.queues[node]->Push(
-            Task{pending.stage, {std::move(pending.tuple)}, NowMicros()})) {
-      state.inflight.Done();  // rejected enqueue: balance or deadlock
+    // node; its Dereferencer performs the possibly-remote fetch. The first
+    // Dereferencer task is kept for this worker to run next, unless a task
+    // of another run is already waiting here: keeping it would overtake
+    // that task. (Referencers reach this point only when not inlined, and
+    // then stay separate pool tasks as inline_referencers promises.)
+    Task task{pending.stage, {std::move(pending.tuple)}};
+    if (kept != nullptr && !kept->has_value() && next_fn.IsDereferencer() &&
+        !state.OtherRunWaiting(node)) {
+      *kept = std::move(task);
+      continue;
     }
+    Enqueue(state, node, std::move(task));
   }
   for (auto& [stage, buffered] : batch_buffer) {
     if (state.Failed()) return;
     const StageFunction& fn = *state.job->stages()[stage];
     for (PointerBatch& batch : CoalesceByPartition(
              std::move(buffered), fn, options_.batch.max_batch_size)) {
-      state.inflight.Add();
-      if (!state.queues[node]->Push(
-              Task{stage, std::move(batch.tuples), NowMicros()})) {
-        state.inflight.Done();
-      }
+      Enqueue(state, node, Task{stage, std::move(batch.tuples)});
     }
   }
 }
@@ -418,17 +476,14 @@ void SmpeExecutor::SeedInitial(RunState& state) const {
   Tuple initial = state.job->initial_input();
   initial.resolve_epoch = state.fanout_epoch;
   if (initial.resolve_local) {
-    state.inflight.Add(num_nodes);
-    for (uint32_t n = 0; n < num_nodes; ++n) {
-      if (!state.queues[n]->Push(Task{0, {initial}, NowMicros()})) {
-        state.inflight.Done();
-      }
-    }
-  } else {
+    // Hold the count above zero until every node's seed is enqueued.
     state.inflight.Add();
-    if (!state.queues[0]->Push(Task{0, {std::move(initial)}, NowMicros()})) {
-      state.inflight.Done();
+    for (uint32_t n = 0; n < num_nodes; ++n) {
+      Enqueue(state, n, Task{0, {initial}});
     }
+    state.inflight.Done();
+  } else {
+    Enqueue(state, 0, Task{0, {std::move(initial)}});
   }
 }
 
@@ -497,7 +552,8 @@ StatusOr<JobResult> SmpeExecutor::Execute(const Job& job,
     RunDeterministic(state);
     for (auto& queue : state.queues) queue->Close();
   } else {
-    state.pools = SnapshotPools(num_nodes);
+    state.nodes = SnapshotPools(num_nodes);
+    state.waiting = std::make_unique<WaitCount[]>(num_nodes);
     // Dispatchers: one per node, handing queued tasks to the node's pool so
     // that executing a function never blocks dequeueing (Fig 6's model).
     std::vector<std::thread> dispatchers;
@@ -505,7 +561,7 @@ StatusOr<JobResult> SmpeExecutor::Execute(const Job& job,
     for (uint32_t n = 0; n < num_nodes; ++n) {
       dispatchers.emplace_back([this, &state, n] {
         while (auto task = state.queues[n]->Pop()) {
-          bool submitted = state.pools[n]->Submit(
+          bool submitted = state.nodes[n]->pool.Submit(
               [this, &state, n, t = std::move(*task)]() mutable {
                 RunTask(state, n, std::move(t));
               });
@@ -513,6 +569,7 @@ StatusOr<JobResult> SmpeExecutor::Execute(const Job& job,
             // Pool shut down under us: the task will never run; balance the
             // in-flight count registered at enqueue time or AwaitZero()
             // hangs.
+            state.AddWaiting(n, -1);
             state.metrics.tasks_dropped_on_failure.fetch_add(
                 1, std::memory_order_relaxed);
             state.inflight.Done();

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/retry.h"
@@ -86,7 +87,8 @@ struct SmpeOptions {
   /// picking the next task from a seeded PRNG over the nonempty node
   /// queues. The same seed replays the same interleaving exactly; different
   /// seeds explore different (but valid) schedules. No dispatcher threads
-  /// or pools are used. For tests.
+  /// or pools are used, and every task is queued (no depth-first
+  /// continuation). For tests.
   uint64_t deterministic_seed = 0;
 
   /// Engine selection (see SmpeEngine). The threaded engine remains the
@@ -123,6 +125,19 @@ struct SmpeOptions {
 ///     (broadcast, lines 28-33).
 /// Completion is detected by an in-flight task tracker reaching zero.
 ///
+/// Depth-first continuation: of the keyed, unbatched Dereferencer tasks one
+/// task emits for its own node, the worker keeps the first and runs it next,
+/// in the same RunTask loop, instead of paying the queue -> dispatcher ->
+/// pool hop (two handoffs, two thread wake-ups). The rest are queued as
+/// usual, so fan-out still spreads over the pool. A follow-up is kept only
+/// while no task of ANOTHER run is waiting on that node (lock-free per-node
+/// waiting counts, executor-wide and per run), so a chain never overtakes
+/// another job's queued task and cross-job FIFO order holds. The kept task
+/// inherits the current task's in-flight registration, records no queue
+/// dwell, and counts as `tasks_continued`. Seeded-schedule runs
+/// (deterministic_seed) never continue: every task goes through a queue, so
+/// a seed replays the same interleaving it always did.
+///
 /// Thread pools are created once per executor and reused across jobs, as in
 /// the prototype ("manages threads in a thread pool and reuses them").
 class SmpeExecutor final : public Executor {
@@ -149,7 +164,8 @@ class SmpeExecutor final : public Executor {
   /// A fine-grained unit of work: one tuple normally, or a coalesced batch
   /// of same-partition keyed tuples when batching is enabled.
   /// `enqueue_us` is stamped when the task enters a node queue, so the
-  /// dequeueing thread can attribute queue dwell.
+  /// dequeueing thread can attribute queue dwell; it stays 0 on a kept
+  /// follow-up, which never queues.
   struct Task {
     size_t stage;
     std::vector<Tuple> tuples;
@@ -157,19 +173,36 @@ class SmpeExecutor final : public Executor {
   };
   struct RunState;  // per-Execute state; defined in .cc
 
+  /// One node's pool plus the number of tasks, over all runs, sitting in
+  /// that node's run queues or pool queue (enqueued, not yet started).
+  struct NodeWorkers {
+    explicit NodeWorkers(size_t threads, obs::LatencyHistogram* dwell)
+        : pool(threads, dwell) {}
+    alignas(64) std::atomic<int64_t> waiting{0};
+    ThreadPool pool;  // declared last: joined before `waiting` dies
+  };
+
+  /// Run a dequeued task, then every same-node follow-up it keeps.
   void RunTask(RunState& state, sim::NodeId node, Task task) const;
+  /// Execute one task; returns the follow-up Route kept, which inherits
+  /// this task's in-flight registration.
+  std::optional<Task> RunOne(RunState& state, sim::NodeId node,
+                             Task task) const;
+  /// `kept` is nullptr when the caller cannot continue (seeded schedules).
   void Route(RunState& state, sim::NodeId node, size_t next_stage,
-             std::vector<Tuple>&& tuples) const;
+             std::vector<Tuple>&& tuples, std::optional<Task>* kept) const;
+  /// Register `task` in flight and push it on `node`'s run queue.
+  void Enqueue(RunState& state, sim::NodeId node, Task task) const;
   void SeedInitial(RunState& state) const;
   /// Single-threaded seeded-schedule drain (deterministic_seed != 0).
   void RunDeterministic(RunState& state) const;
 
-  /// Stable per-node pool pointers for a run over `num_nodes` nodes,
+  /// Stable per-node worker pointers for a run over `num_nodes` nodes,
   /// lazily growing `pools_` when the cluster gained nodes since the last
   /// run (elastic membership). Pools are only ever appended, never
   /// destroyed, so the returned raw pointers stay valid for the run even
   /// while a concurrent Execute grows the vector.
-  std::vector<ThreadPool*> SnapshotPools(uint32_t num_nodes);
+  std::vector<NodeWorkers*> SnapshotPools(uint32_t num_nodes);
 
   std::string name_ = "rede-smpe";
   sim::Cluster* cluster_;
@@ -177,7 +210,7 @@ class SmpeExecutor final : public Executor {
   obs::LatencyHistogram pool_dwell_;  // must outlive pools_
   /// One pool per node; guarded by pools_mutex_ for elastic growth.
   mutable std::mutex pools_mutex_;
-  mutable std::vector<std::unique_ptr<ThreadPool>> pools_;
+  mutable std::vector<std::unique_ptr<NodeWorkers>> pools_;
   std::unique_ptr<RecordCache> cache_;  // nullptr unless cache.enabled
   /// Monotonic Execute() counter driving per-job trace sampling.
   std::atomic<uint64_t> run_seq_{0};

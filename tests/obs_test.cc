@@ -333,6 +333,54 @@ TEST_F(TracedEngineTest, SmpeTraceReconcilesWithCounters) {
   EXPECT_EQ(result->metrics.deref_latency_us.count,
             result->metrics.deref_invocations);
   EXPECT_GT(result->metrics.queue_dwell_us.count, 0u);
+  // A seeded schedule queues every task: nothing runs as a continuation.
+  EXPECT_EQ(result->metrics.tasks_continued, 0u);
+  EXPECT_EQ(result->metrics.queue_dwell_us.count, queue_waits);
+}
+
+/// The same traced dept-join on the real threaded engine, where workers
+/// run their own same-node follow-ups as continuations.
+struct ThreadedTracedEngineTest : TracedEngineTest {
+  ThreadedTracedEngineTest() : TracedEngineTest(ThreadedOptions()) {}
+  static rede::EngineOptions ThreadedOptions() {
+    rede::EngineOptions options;
+    options.smpe.trace_sample_n = 1;
+    options.smpe.threads_per_node = 4;
+    return options;
+  }
+};
+
+TEST_F(ThreadedTracedEngineTest, EveryTaskRunIsQueuedOrContinuedOnce) {
+  auto job = DeptJoinJob();
+  ASSERT_TRUE(job.ok());
+  auto result = engine.ExecuteCollect(*job, rede::ExecutionMode::kSmpe);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tuples.size(), static_cast<size_t>(kEmployees));
+  ASSERT_NE(result->trace, nullptr);
+  const rede::MetricsSnapshot& m = result->metrics;
+
+  uint64_t queue_waits = 0;
+  for (const Span& span : result->trace->spans) {
+    if (span.kind == SpanKind::kQueueWait) ++queue_waits;
+  }
+  // Referencers run inline and nothing retries, so each task run is one
+  // Dereferencer invocation: a queued one (one dwell sample, one queue-wait
+  // span) or a continuation (neither).
+  EXPECT_GT(m.tasks_continued, 0u);
+  EXPECT_EQ(m.queue_dwell_us.count, queue_waits);
+  EXPECT_EQ(m.queue_dwell_us.count + m.tasks_continued, m.deref_invocations);
+
+  JobProfile profile = rede::ProfileOf(*result);
+  EXPECT_TRUE(profile.Reconciles())
+      << (profile.warnings().empty() ? "" : profile.warnings()[0]);
+  EXPECT_EQ(profile.queued_tasks(), queue_waits);
+  EXPECT_EQ(profile.tasks_continued(), m.tasks_continued);
+  EXPECT_NE(profile.ToText().find(StrFormat(
+                "tasks: %llu queued, %llu continued",
+                static_cast<unsigned long long>(queue_waits),
+                static_cast<unsigned long long>(m.tasks_continued))),
+            std::string::npos)
+      << profile.ToText();
 }
 
 TEST_F(TracedEngineTest, PartitionedTraceReconcilesToo) {
